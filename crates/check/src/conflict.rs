@@ -17,20 +17,15 @@
 //! rw edge (its own position in the ww chain orders it before every
 //! later writer).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use sitm_obs::{History, OpKind};
 
+use crate::graph::{add_edge, find_cycle, Graph};
 use crate::oracle::Violation;
 
-/// Edge provenance: the conflict kind and the line it arose on.
-pub(crate) type EdgeInfo = (&'static str, u64);
-
-/// Adjacency of a dependency graph, deterministic iteration order.
-pub(crate) type Graph = BTreeMap<u64, BTreeMap<u64, EdgeInfo>>;
-
 pub(crate) fn check_conflict_serializable(history: &History, out: &mut Vec<Violation>) {
-    let mut graph: Graph = BTreeMap::new();
+    let mut graph = Graph::new();
 
     // Committed writers of each line, in commit order. Lock-based
     // protocols publish writes at commit, so the commit's sequence
@@ -51,16 +46,6 @@ pub(crate) fn check_conflict_serializable(history: &History, out: &mut Vec<Viola
     for writers in writers_by_line.values_mut() {
         writers.sort_unstable();
     }
-
-    let add_edge = |graph: &mut Graph, from: u64, to: u64, kind: &'static str, line: u64| {
-        if from != to {
-            graph
-                .entry(from)
-                .or_default()
-                .entry(to)
-                .or_insert((kind, line));
-        }
-    };
 
     for (line, writers) in &writers_by_line {
         for pair in writers.windows(2) {
@@ -117,49 +102,4 @@ pub(crate) fn cycle_violation(rule: &'static str, graph: &Graph, cycle: Vec<u64>
         line: None,
         detail,
     }
-}
-
-/// Iterative three-colour DFS; returns the first cycle found as the
-/// list of transactions along it (each holding an edge to the next,
-/// wrapping around).
-pub(crate) fn find_cycle(graph: &Graph) -> Option<Vec<u64>> {
-    const WHITE: u8 = 0;
-    const GRAY: u8 = 1;
-    const BLACK: u8 = 2;
-    let mut color: HashMap<u64, u8> = graph.keys().map(|&n| (n, WHITE)).collect();
-    for &root in graph.keys() {
-        if color[&root] != WHITE {
-            continue;
-        }
-        // The stack of gray nodes is exactly the current path.
-        let mut stack: Vec<(u64, Vec<u64>, usize)> = Vec::new();
-        color.insert(root, GRAY);
-        let succ = graph[&root].keys().copied().collect();
-        stack.push((root, succ, 0));
-        while let Some((node, succ, idx)) = stack.last_mut() {
-            if *idx >= succ.len() {
-                color.insert(*node, BLACK);
-                stack.pop();
-                continue;
-            }
-            let next = succ[*idx];
-            *idx += 1;
-            match color.get(&next).copied().unwrap_or(WHITE) {
-                WHITE => {
-                    color.insert(next, GRAY);
-                    let succ = graph.get(&next).map(|m| m.keys().copied().collect());
-                    stack.push((next, succ.unwrap_or_default(), 0));
-                }
-                GRAY => {
-                    let start = stack
-                        .iter()
-                        .position(|&(n, _, _)| n == next)
-                        .expect("gray nodes are on the DFS path");
-                    return Some(stack[start..].iter().map(|&(n, _, _)| n).collect());
-                }
-                _ => {}
-            }
-        }
-    }
-    None
 }

@@ -27,6 +27,10 @@
 //!   Cahill-style dangerous-structure detection is conservative, so
 //!   re-running it here would falsely reject legal SSI histories.
 //!
+//! Every graph check finds its cycles through one engine, the public
+//! [`graph`] module (iterative Tarjan SCCs plus a witness cycle), which
+//! the `sitm-skew` write-skew tool shares.
+//!
 //! The oracle is itself machine-checked: `tests/mutation.rs` runs
 //! deliberately broken protocol shims (first-committer-wins disabled,
 //! stale snapshot reads, dropped write-write conflict detection)
@@ -54,6 +58,7 @@
 #![warn(missing_docs)]
 
 mod conflict;
+pub mod graph;
 mod mvsg;
 mod oracle;
 mod si;

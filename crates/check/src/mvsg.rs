@@ -19,11 +19,12 @@
 //! correct executions. The contract is serializability itself, which is
 //! exactly MVSG acyclicity.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use sitm_obs::{History, OpKind, TxnRecord};
 
-use crate::conflict::{cycle_violation, find_cycle, Graph};
+use crate::conflict::cycle_violation;
+use crate::graph::{add_edge, find_cycle, Graph};
 use crate::oracle::Violation;
 
 pub(crate) fn check_mvsg(history: &History, out: &mut Vec<Violation>) {
@@ -58,17 +59,7 @@ fn check_epoch(committed: &[&TxnRecord], out: &mut Vec<Violation>) {
         versions.sort_unstable();
     }
 
-    let mut graph: Graph = BTreeMap::new();
-    let add_edge = |graph: &mut Graph, from: u64, to: u64, kind: &'static str, line: u64| {
-        if from != to {
-            graph
-                .entry(from)
-                .or_default()
-                .entry(to)
-                .or_insert((kind, line));
-        }
-    };
-
+    let mut graph = Graph::new();
     for r in committed {
         graph.entry(r.txn).or_default();
     }

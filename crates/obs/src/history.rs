@@ -13,6 +13,13 @@
 //! The schema deliberately uses only plain integers and static strings
 //! so this module sits at the bottom of the workspace graph, and every
 //! record exports as one `sitm.txn.v1` JSONL line via [`crate::Json`].
+//! Display labels of lines (the write-skew tool names `TVar`s by them)
+//! travel as one `sitm.labels.v1` line, and a capacity overflow as one
+//! `sitm.dropped.v1` line; [`History::from_jsonl`] reads all three back.
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::json::Json;
 
@@ -159,6 +166,74 @@ impl TxnRecord {
             ("ops", Json::Arr(ops)),
         ])
     }
+
+    /// Parses one `sitm.txn.v1` object, the inverse of [`Self::to_json`].
+    fn from_json(doc: &Json) -> Result<TxnRecord, String> {
+        let outcome = match doc.get("outcome").and_then(Json::as_str) {
+            Some("committed") => Some(TxnOutcome::Committed),
+            Some(s) => s
+                .strip_prefix("aborted:")
+                .map(|c| TxnOutcome::Aborted(intern(c))),
+            None => None,
+        };
+        let ops = doc
+            .get("ops")
+            .and_then(Json::as_arr)
+            .ok_or("malformed \"ops\"")?;
+        let ops = ops.iter().map(|op| {
+            let line = num(op, "line")?;
+            let kind = match op.get("op").and_then(Json::as_str) {
+                Some("read") => OpKind::Read {
+                    line,
+                    observed: opt_num(op, "observed")?,
+                },
+                Some("write") => OpKind::Write { line },
+                Some("promote") => OpKind::Promote { line },
+                _ => return Err("malformed \"op\"".to_string()),
+            };
+            let seq = num(op, "seq")?;
+            Ok(HistoryOp { seq, kind })
+        });
+        Ok(TxnRecord {
+            txn: num(doc, "txn")?,
+            thread: num(doc, "thread")? as usize,
+            epoch: num(doc, "epoch")?,
+            begin_seq: num(doc, "begin_seq")?,
+            end_seq: num(doc, "end_seq")?,
+            begin_ts: opt_num(doc, "begin_ts")?,
+            commit_ts: opt_num(doc, "commit_ts")?,
+            outcome: outcome.ok_or("malformed \"outcome\"")?,
+            ops: ops.collect::<Result<_, String>>()?,
+        })
+    }
+}
+
+/// The integer at `key` of a parsed JSON object.
+fn num(doc: &Json, key: &str) -> Result<u64, String> {
+    doc.get(key)
+        .and_then(Json::as_u64)
+        .ok_or_else(|| format!("malformed {key:?}"))
+}
+
+/// The optional integer at `key`: absent or `null` is `None`.
+fn opt_num(doc: &Json, key: &str) -> Result<Option<u64>, String> {
+    match doc.get(key) {
+        None | Some(Json::Null) => Ok(None),
+        Some(_) => num(doc, key).map(Some),
+    }
+}
+
+/// The `'static` cause label of a parsed abort. Each distinct label is
+/// leaked once, so memory stays bounded by the (small) cause taxonomy.
+fn intern(cause: &str) -> &'static str {
+    static CAUSES: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    let mut causes = CAUSES.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&known) = causes.get(cause) {
+        return known;
+    }
+    let leaked: &'static str = Box::leak(cause.into());
+    causes.insert(leaked);
+    leaked
 }
 
 /// Accumulates one in-flight transaction attempt until its outcome is
@@ -218,6 +293,8 @@ pub struct History {
     /// assumptions no longer hold).
     dropped: u64,
     capacity: usize,
+    /// Display labels of labelled lines.
+    labels: BTreeMap<u64, Arc<str>>,
 }
 
 impl Default for History {
@@ -233,6 +310,7 @@ impl History {
             records: Vec::new(),
             dropped: 0,
             capacity,
+            labels: BTreeMap::new(),
         }
     }
 
@@ -271,16 +349,90 @@ impl History {
         self.records.is_empty()
     }
 
-    /// Exports the log as JSONL, one `sitm.txn.v1` record per line.
+    /// Names `line` for display (the software STM labels the lines of
+    /// labelled `TVar`s while it records).
+    pub fn set_label(&mut self, line: u64, label: Arc<str>) {
+        self.labels.insert(line, label);
+    }
+
+    /// The display label of `line`, if it has one.
+    pub fn label(&self, line: u64) -> Option<&str> {
+        self.labels.get(&line).map(|l| &**l)
+    }
+
+    /// Exports the log as JSONL: one `sitm.txn.v1` record per line,
+    /// then, when present, one `sitm.labels.v1` line with the label
+    /// table and one `sitm.dropped.v1` line with the drop count.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for r in &self.records {
-            out.push_str(&r.to_json().to_line());
-            out.push('\n');
+        let mut docs: Vec<Json> = self.records.iter().map(TxnRecord::to_json).collect();
+        let schema = |name: &str| ("schema", Json::Str(name.to_string()));
+        if !self.labels.is_empty() {
+            let pair = |(&line, name): (&u64, &Arc<str>)| {
+                Json::Arr(vec![Json::Num(line as f64), Json::Str(name.to_string())])
+            };
+            let labels = Json::Arr(self.labels.iter().map(pair).collect());
+            docs.push(Json::obj([schema("sitm.labels.v1"), ("labels", labels)]));
         }
-        out
+        if self.dropped > 0 {
+            let dropped = Json::Num(self.dropped as f64);
+            docs.push(Json::obj([schema("sitm.dropped.v1"), ("dropped", dropped)]));
+        }
+        docs.iter().map(|doc| doc.to_line() + "\n").collect()
+    }
+
+    /// Parses what [`Self::to_jsonl`] writes back into a history. The
+    /// result has no capacity bound: its records are already in memory.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`HistoryParseError`] naming the first line that is
+    /// not valid JSON or not one of the three schemas above.
+    pub fn from_jsonl(text: &str) -> Result<History, HistoryParseError> {
+        let mut history = History::with_capacity(usize::MAX);
+        let label = |pair: &Json| match pair.as_arr()? {
+            [line, Json::Str(name)] => Some((line.as_u64()?, Arc::from(name.as_str()))),
+            _ => None,
+        };
+        for (i, raw) in text.lines().enumerate() {
+            let err = |message| HistoryParseError {
+                line: i + 1,
+                message,
+            };
+            let doc = Json::parse(raw).map_err(|e| err(e.to_string()))?;
+            match doc.get("schema").and_then(Json::as_str) {
+                Some("sitm.txn.v1") => history.push(TxnRecord::from_json(&doc).map_err(err)?),
+                Some("sitm.labels.v1") => {
+                    for pair in doc.get("labels").and_then(Json::as_arr).unwrap_or_default() {
+                        let (line, name) = label(pair)
+                            .ok_or_else(|| err(format!("malformed label {}", pair.to_line())))?;
+                        history.set_label(line, name);
+                    }
+                }
+                Some("sitm.dropped.v1") => history.dropped = num(&doc, "dropped").map_err(err)?,
+                other => return Err(err(format!("unknown schema {other:?}"))),
+            }
+        }
+        Ok(history)
     }
 }
+
+/// A line of a history JSONL export that [`History::from_jsonl`] could
+/// not read.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HistoryParseError {
+    /// 1-based line number.
+    pub line: usize,
+    /// What was wrong with it.
+    pub message: String,
+}
+
+impl fmt::Display for HistoryParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "line {}: {}", self.line, self.message)
+    }
+}
+
+impl std::error::Error for HistoryParseError {}
 
 #[cfg(test)]
 mod tests {
@@ -347,5 +499,37 @@ mod tests {
             Some("aborted:order")
         );
         assert_eq!(second.get("begin_ts"), Some(&Json::Null));
+    }
+
+    #[test]
+    fn jsonl_round_trips_records_labels_and_drops() {
+        let mut h = History::with_capacity(2);
+        h.push(sample_record(1));
+        h.push(TxnBuilder::new(2, 1, 0, 5, None).abort(6, "order"));
+        h.push(sample_record(3));
+        h.set_label(64, Arc::from("checking"));
+        let back = History::from_jsonl(&h.to_jsonl()).expect("own export parses");
+        assert_eq!(back.records(), h.records());
+        assert_eq!(back.label(64), Some("checking"));
+        assert_eq!(back.label(65), None);
+        assert_eq!(back.dropped(), 1);
+        assert_eq!(back.to_jsonl(), h.to_jsonl());
+    }
+
+    #[test]
+    fn jsonl_errors_name_the_line() {
+        let mut h = History::default();
+        h.push(sample_record(1));
+        let text = h.to_jsonl() + "{\"schema\":\"sitm.txn.v1\",\"txn\":2}\n";
+        let err = History::from_jsonl(&text).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.to_string().starts_with("line 2: "), "{err}");
+        for bad in [
+            "not json",
+            "{\"schema\":\"other\"}",
+            "{\"schema\":\"sitm.labels.v1\",\"labels\":[[1]]}",
+        ] {
+            assert_eq!(History::from_jsonl(bad).unwrap_err().line, 1, "{bad}");
+        }
     }
 }

@@ -57,7 +57,9 @@ pub use event::{EventKind, TraceRecord};
 pub use forensics::{
     ForensicCause, ForensicEvent, Forensics, ForensicsReport, ForensicsSnapshot, SharedForensics,
 };
-pub use history::{History, HistoryOp, OpKind, TxnBuilder, TxnOutcome, TxnRecord};
+pub use history::{
+    History, HistoryOp, HistoryParseError, OpKind, TxnBuilder, TxnOutcome, TxnRecord,
+};
 pub use json::Json;
 pub use metrics::{AtomicHistogram, Histogram, MetricsRegistry, Observable};
 pub use phase::{Phase, PhaseCycles};

@@ -6,50 +6,42 @@
 //! paper; the classic example is Listing 1's bank withdraw). This crate
 //! is the reproduction of the paper's dynamic-analysis tool:
 //!
-//! 1. record a globally ordered trace of transactional operations (the
-//!    paper instruments binaries with PIN; here the `sitm-stm` runtime
-//!    records through its [`sitm_stm::Recorder`] hook),
-//! 2. post-process the trace into committed transactions
-//!    ([`Trace::from_events`]),
-//! 3. build the read-write anti-dependency graph over overlapping
-//!    transactions and find its cycles — the necessary condition for a
-//!    write skew ([`DependencyGraph`]),
-//! 4. report each dangerous cycle and propose **read promotions** that
+//! 1. record a globally ordered history of transactional operations
+//!    (the paper instruments binaries with PIN; here the `sitm-stm`
+//!    runtime records a [`sitm_obs::History`] via `Stm::with_history`,
+//!    the same record the `sitm-check` isolation oracle reads),
+//! 2. build the read-write anti-dependency graph over its overlapping
+//!    committed transactions and find its cycles — the necessary
+//!    condition for a write skew — with `sitm-check`'s SCC engine
+//!    ([`sitm_check::graph`]),
+//! 3. report each dangerous cycle and propose **read promotions** that
 //!    turn the anomaly into an ordinary validation conflict
 //!    ([`analyze`], [`WriteSkewReport`]).
 //!
 //! The analysis is best-effort in the same sense as the paper's tool:
-//! it covers the schedules actually traced, flags false positives
+//! it covers the schedules actually recorded, flags false positives
 //! rather than missing true ones within those schedules, and its value
 //! grows with test coverage.
 //!
 //! # Examples
 //!
 //! ```
-//! use sitm_stm::{Stm, TVar, VecRecorder};
-//! use std::sync::Arc;
+//! use sitm_stm::{Stm, TVar};
 //!
-//! let recorder = Arc::new(VecRecorder::new());
-//! let stm = Stm::snapshot().with_recorder(recorder.clone());
+//! let stm = Stm::snapshot().with_history(1024);
 //! let x = TVar::new_labeled("x", 1u64);
 //! stm.atomically(|tx| {
 //!     let v = tx.read(&x)?;
 //!     tx.write(&x, v + 1);
 //!     Ok(())
 //! });
-//! let report = sitm_skew::analyze(&recorder.take());
+//! let report = sitm_skew::analyze(&stm.history().unwrap());
 //! assert!(report.is_clean());
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod format;
-mod graph;
 mod report;
-mod trace;
 
-pub use format::{parse_trace, write_trace, ParseTraceError};
-pub use graph::{DependencyGraph, RwEdge};
-pub use report::{analyze, analyze_trace, Promotion, SkewFinding, SkewPattern, WriteSkewReport};
-pub use trace::{Trace, TxRecord};
+pub use report::{analyze, Promotion, SkewFinding, SkewPattern, WriteSkewReport};

@@ -1,19 +1,27 @@
-//! Findings and read-promotion proposals.
+//! The analysis, its findings and the read-promotion proposals.
 //!
-//! The analysis end of the tool: [`analyze`] runs the full pipeline
-//! (trace → dependency graph → cycles) and produces a
-//! [`WriteSkewReport`] listing each dangerous cycle, the variables
-//! involved, and the **read promotions** that remove the anomaly — "the
-//! tool applies read promotion for every transactional read that is part
-//! of a write skew" (section 5.1).
+//! [`analyze`] runs the full pipeline (history → dependency graph →
+//! cycles) and produces a [`WriteSkewReport`] listing each dangerous
+//! cycle, the variables involved, and the **read promotions** that
+//! remove the anomaly — "the tool applies read promotion for every
+//! transactional read that is part of a write skew" (section 5.1).
+//!
+//! Following Cahill et al. (and section 5.1 of the paper), the graph's
+//! vertices are committed transactions and its edges are **read-write
+//! anti-dependencies between overlapping transactions**: `A → B` when
+//! `A` read a variable that `B` wrote, and the two overlapped (so `A`
+//! read the version `B` replaced). A cycle is the necessary condition
+//! for a write skew; reporting cycles is safe but may include false
+//! positives, exactly as the paper states. Reads the transaction
+//! promoted, or of variables it also wrote, are excluded: they were
+//! validated at commit, so their edge cannot materialize into an
+//! anomaly.
 
 use std::collections::BTreeSet;
 use std::fmt;
 
-use sitm_stm::TxEvent;
-
-use crate::graph::DependencyGraph;
-use crate::trace::Trace;
+use sitm_check::graph::{add_edge, sccs, Graph};
+use sitm_obs::{History, OpKind, TxnRecord};
 
 /// One detected dangerous cycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,12 +49,16 @@ pub struct Promotion {
 #[derive(Debug, Clone, Default)]
 pub struct WriteSkewReport {
     /// Detected dangerous cycles (possibly false positives, never
-    /// missed ones within the traced schedules).
+    /// missed ones within the recorded schedules).
     pub findings: Vec<SkewFinding>,
     /// Proposed read promotions (deduplicated, sorted).
     pub promotions: Vec<Promotion>,
     /// Committed transactions analyzed.
     pub transactions_analyzed: usize,
+    /// Records the history dropped over its capacity bound. Nonzero
+    /// means the analysis is incomplete: a dropped transaction can hide
+    /// a skew.
+    pub dropped: u64,
 }
 
 /// Findings grouped by the variable set they involve: the "pattern"
@@ -61,7 +73,7 @@ pub struct SkewPattern {
 }
 
 impl WriteSkewReport {
-    /// Whether the trace was free of dangerous structures.
+    /// Whether the history was free of dangerous structures.
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
     }
@@ -107,6 +119,9 @@ impl WriteSkewReport {
 
 impl fmt::Display for WriteSkewReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.dropped > 0 {
+            writeln!(f, "history incomplete: {} records dropped", self.dropped)?;
+        }
         if self.is_clean() {
             return write!(
                 f,
@@ -150,40 +165,71 @@ impl fmt::Display for WriteSkewReport {
     }
 }
 
-/// Runs the full analysis over a recorded event stream.
-pub fn analyze(events: &[TxEvent]) -> WriteSkewReport {
-    let trace = Trace::from_events(events);
-    analyze_trace(&trace)
-}
+/// Runs the write-skew analysis over a recorded history. Aborted
+/// attempts publish nothing, so only committed transactions take part.
+pub fn analyze(history: &History) -> WriteSkewReport {
+    // Vertices are indices in commit order.
+    let mut txs: Vec<&TxnRecord> = history.committed().collect();
+    txs.sort_by_key(|r| r.end_seq);
+    let writes: Vec<BTreeSet<u64>> = txs.iter().map(|r| r.write_lines().collect()).collect();
+    // The reads that can carry an rw anti-dependency: neither promoted
+    // nor written by the reader.
+    let exposed: Vec<BTreeSet<u64>> = txs
+        .iter()
+        .zip(&writes)
+        .map(|(r, own)| {
+            let (mut reads, mut promoted) = (BTreeSet::new(), BTreeSet::new());
+            for op in &r.ops {
+                match op.kind {
+                    OpKind::Read { line, .. } => reads.insert(line),
+                    OpKind::Promote { line } => promoted.insert(line),
+                    OpKind::Write { .. } => false,
+                };
+            }
+            reads.retain(|l| !promoted.contains(l) && !own.contains(l));
+            reads
+        })
+        .collect();
+    let rw = |i: usize, j: usize| exposed[i].intersection(&writes[j]).copied();
 
-/// Runs the analysis over an already post-processed trace.
-pub fn analyze_trace(trace: &Trace) -> WriteSkewReport {
-    let graph = DependencyGraph::build(trace);
+    let mut graph = Graph::new();
+    for (i, a) in txs.iter().enumerate() {
+        for (j, b) in txs.iter().enumerate() {
+            if i != j && a.begin_seq < b.end_seq && b.begin_seq < a.end_seq {
+                if let Some(line) = rw(i, j).next() {
+                    add_edge(&mut graph, i as u64, j as u64, "rw", line);
+                }
+            }
+        }
+    }
+
+    let name = |line: u64| match history.label(line) {
+        Some(label) => label.to_string(),
+        None => format!("var{line}"),
+    };
     let mut report = WriteSkewReport {
-        transactions_analyzed: trace.committed.len(),
+        transactions_analyzed: txs.len(),
+        dropped: history.dropped(),
         ..WriteSkewReport::default()
     };
-    for component in graph.cycles() {
+    for component in sccs(&graph) {
         let mut variables = BTreeSet::new();
-        let mut promotions = BTreeSet::new();
-        for edge in graph.edges_within(&component) {
-            for &var in &edge.vars {
-                variables.insert(var);
-                promotions.insert(Promotion {
-                    tx: trace.committed[edge.reader].id,
-                    var,
-                    name: trace.name_of(var),
-                });
+        for &r in &component {
+            for &w in graph[&r].keys().filter(|w| component.contains(w)) {
+                for line in rw(r as usize, w as usize) {
+                    variables.insert(line);
+                    report.promotions.push(Promotion {
+                        tx: txs[r as usize].txn,
+                        var: line,
+                        name: name(line),
+                    });
+                }
             }
         }
         report.findings.push(SkewFinding {
-            transactions: component.iter().map(|&i| trace.committed[i].id).collect(),
-            variables: variables
-                .into_iter()
-                .map(|v| (v, trace.name_of(v)))
-                .collect(),
+            transactions: component.iter().map(|&i| txs[i as usize].txn).collect(),
+            variables: variables.into_iter().map(|v| (v, name(v))).collect(),
         });
-        report.promotions.extend(promotions);
     }
     report.promotions.sort();
     report.promotions.dedup();
@@ -193,50 +239,44 @@ pub fn analyze_trace(trace: &Trace) -> WriteSkewReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use sitm_obs::TxnBuilder;
 
-    fn begin(tx: u64) -> TxEvent {
-        TxEvent::Begin { tx, snapshot: 0 }
+    /// Pushes a committed transaction spanning `[begin, end]` of the
+    /// global order that reads `reads`, then writes `writes`.
+    fn txn(h: &mut History, id: u64, span: (u64, u64), reads: &[u64], writes: &[u64]) {
+        h.push(builder(id, span.0, reads, writes).commit(span.1, None));
     }
 
-    fn read(tx: u64, var: u64, label: &str) -> TxEvent {
-        TxEvent::Read {
-            tx,
-            var,
-            label: Some(Arc::from(label)),
+    fn builder(id: u64, begin: u64, reads: &[u64], writes: &[u64]) -> TxnBuilder {
+        let mut b = TxnBuilder::new(id, 0, 0, begin, None);
+        for &line in reads {
+            let observed = None;
+            b.op(begin, OpKind::Read { line, observed });
         }
-    }
-
-    fn write(tx: u64, var: u64, label: &str) -> TxEvent {
-        TxEvent::Write {
-            tx,
-            var,
-            label: Some(Arc::from(label)),
+        for &line in writes {
+            b.op(begin, OpKind::Write { line });
         }
+        b
     }
 
-    fn commit(tx: u64) -> TxEvent {
-        TxEvent::Commit { tx }
+    fn labelled(names: &[(u64, &str)]) -> History {
+        let mut h = History::default();
+        for &(line, name) in names {
+            h.set_label(line, name.into());
+        }
+        h
     }
 
-    /// The Listing 1 banking trace end to end.
+    /// The Listing 1 banking skew end to end.
     #[test]
     fn detects_withdraw_skew_with_names() {
-        let events = vec![
-            begin(1),
-            begin(2),
-            read(1, 10, "checking"),
-            read(1, 11, "saving"),
-            read(2, 10, "checking"),
-            read(2, 11, "saving"),
-            write(1, 10, "checking"),
-            write(2, 11, "saving"),
-            commit(1),
-            commit(2),
-        ];
-        let report = analyze(&events);
+        let mut h = labelled(&[(10, "checking"), (11, "saving")]);
+        txn(&mut h, 1, (0, 8), &[10, 11], &[10]);
+        txn(&mut h, 2, (1, 9), &[10, 11], &[11]);
+        let report = analyze(&h);
         assert!(!report.is_clean());
         assert_eq!(report.findings.len(), 1);
+        assert_eq!(report.findings[0].transactions, vec![1, 2]);
         assert_eq!(
             report.involved_names(),
             BTreeSet::from(["checking".to_string(), "saving".to_string()])
@@ -262,18 +302,87 @@ mod tests {
     }
 
     #[test]
-    fn clean_trace_reports_clean() {
-        let events = vec![
-            begin(1),
-            read(1, 5, "x"),
-            write(1, 5, "x"),
-            commit(1),
-            begin(2),
-            read(2, 5, "x"),
-            commit(2),
-        ];
-        let report = analyze(&events);
+    fn clean_history_reports_clean() {
+        let mut h = labelled(&[(5, "x")]);
+        txn(&mut h, 1, (0, 3), &[5], &[5]);
+        txn(&mut h, 2, (4, 6), &[5], &[]);
+        let report = analyze(&h);
         assert!(report.is_clean());
-        assert!(report.to_string().contains("no write-skew"));
+        assert_eq!(
+            report.to_string(),
+            "no write-skew dangerous structures in 2 committed transactions"
+        );
+    }
+
+    /// Only a cycle is dangerous: a one-directional anti-dependency,
+    /// non-overlapping transactions, promoted reads and reads of the
+    /// reader's own writes form none.
+    #[test]
+    fn edges_need_overlap_and_an_unprotected_read() {
+        let single = |h: &mut History| {
+            txn(h, 1, (0, 10), &[5], &[]);
+            txn(h, 2, (1, 11), &[], &[5]);
+        };
+        let sequential = |h: &mut History| {
+            txn(h, 1, (0, 5), &[7], &[8]);
+            txn(h, 2, (6, 9), &[8], &[7]);
+        };
+        let promoted = |h: &mut History| {
+            let mut b = builder(1, 0, &[1, 2], &[1]);
+            b.op(0, OpKind::Promote { line: 2 });
+            h.push(b.commit(10, None));
+            txn(h, 2, (1, 11), &[1, 2], &[2]);
+        };
+        let own_write = |h: &mut History| {
+            txn(h, 1, (0, 10), &[1, 2], &[1, 2]);
+            txn(h, 2, (1, 11), &[1, 2], &[1]);
+        };
+        for build in [
+            &single as &dyn Fn(&mut History),
+            &sequential,
+            &promoted,
+            &own_write,
+        ] {
+            let mut h = History::default();
+            build(&mut h);
+            assert!(analyze(&h).is_clean());
+        }
+    }
+
+    #[test]
+    fn three_cycle_is_one_finding_over_its_variables() {
+        let mut h = History::default();
+        txn(&mut h, 1, (0, 20), &[1], &[2]);
+        txn(&mut h, 2, (1, 21), &[2], &[3]);
+        txn(&mut h, 3, (2, 22), &[3], &[1]);
+        let report = analyze(&h);
+        assert_eq!(report.findings.len(), 1);
+        assert_eq!(report.findings[0].transactions, vec![1, 2, 3]);
+        assert_eq!(report.promotions_by_variable(), ["var1", "var2", "var3"]);
+    }
+
+    /// Aborted attempts publish nothing and take no part.
+    #[test]
+    fn aborted_attempts_are_ignored() {
+        let mut h = History::default();
+        txn(&mut h, 1, (0, 8), &[10, 11], &[10]);
+        h.push(builder(2, 1, &[10, 11], &[11]).abort(9, "write-write"));
+        let report = analyze(&h);
+        assert!(report.is_clean());
+        assert_eq!(report.transactions_analyzed, 1);
+    }
+
+    /// A bounded history that overflowed says so.
+    #[test]
+    fn dropped_records_are_reported() {
+        let mut h = History::with_capacity(1);
+        txn(&mut h, 1, (0, 8), &[10, 11], &[10]);
+        txn(&mut h, 2, (1, 9), &[10, 11], &[11]);
+        let report = analyze(&h);
+        assert_eq!(report.dropped, 1);
+        assert!(report.is_clean(), "the skew's second half was dropped");
+        assert!(report
+            .to_string()
+            .starts_with("history incomplete: 1 records dropped\n"));
     }
 }

@@ -93,7 +93,7 @@ fn torn_snapshot_model(mutation: Mutation) {
     let writer = {
         let (x, y) = (x.clone(), y.clone());
         thread::spawn(move || {
-            let mut tx = Tx::begin(IsolationLevel::Snapshot, None);
+            let mut tx = Tx::begin(IsolationLevel::Snapshot);
             tx.write(&x, 1);
             tx.write(&y, 1);
             tx.commit().expect("uncontended writer commits");
@@ -102,7 +102,7 @@ fn torn_snapshot_model(mutation: Mutation) {
     let reader = thread::spawn(move || {
         // Race this thread's own shard far ahead of the writer's.
         epoch::commit_tick(epoch::clock_now() + 64);
-        let mut tx = Tx::begin(IsolationLevel::Snapshot, None);
+        let mut tx = Tx::begin(IsolationLevel::Snapshot);
         let sx = tx.read(&x).expect("dynamic retention never evicts");
         let sy = tx.read(&y).expect("dynamic retention never evicts");
         assert_eq!(sx, sy, "torn snapshot: x={sx} y={sy}");

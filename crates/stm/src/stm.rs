@@ -14,7 +14,6 @@ use sitm_obs::{
 };
 
 use crate::error::{Conflict, StmError};
-use crate::recorder::Recorder;
 use crate::txn::{HistorySink, IsolationLevel, Tx};
 
 /// Commit/abort counters of an [`Stm`] runtime. Every field is a plain
@@ -133,11 +132,11 @@ impl Observable for StmStats {
 /// The software snapshot-isolation STM runtime.
 ///
 /// An `Stm` value holds the isolation level, abort statistics and the
-/// optional trace recorder; the version clock is process-global, so
-/// [`crate::TVar`]s may be shared freely between runtimes (e.g. a
-/// snapshot-isolated fast path and a serializable administrative path
-/// over the same data, the paper's "for all or a subset of
-/// transactions").
+/// optional history and forensics recorders; the version clock is
+/// process-global, so [`crate::TVar`]s may be shared freely between
+/// runtimes (e.g. a snapshot-isolated fast path and a serializable
+/// administrative path over the same data, the paper's "for all or a
+/// subset of transactions").
 ///
 /// # Examples
 ///
@@ -157,7 +156,6 @@ impl Observable for StmStats {
 pub struct Stm {
     level: IsolationLevel,
     stats: StmStats,
-    recorder: Option<Arc<dyn Recorder>>,
     history: Option<Arc<HistorySink>>,
     forensics: Option<Arc<SharedForensics>>,
 }
@@ -167,7 +165,6 @@ impl std::fmt::Debug for Stm {
         f.debug_struct("Stm")
             .field("level", &self.level)
             .field("stats", &self.stats)
-            .field("recorder", &self.recorder.is_some())
             .field("history", &self.history.is_some())
             .field("forensics", &self.forensics.is_some())
             .finish()
@@ -192,24 +189,17 @@ impl Stm {
         Stm {
             level,
             stats: StmStats::default(),
-            recorder: None,
             history: None,
             forensics: None,
         }
     }
 
-    /// Installs a trace recorder (see `sitm-skew`); replaces any
-    /// previous one. Returns `self` for builder-style use.
-    pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
-        self.recorder = Some(recorder);
-        self
-    }
-
     /// Turns on transaction-history recording (the `sitm.txn.v1`
-    /// record stream consumed by the `sitm-check` oracle): every
-    /// finished attempt — committed or aborted — is appended to a
-    /// bounded in-memory [`History`] of at most `capacity` records.
-    /// Returns `self` for builder-style use.
+    /// record stream consumed by the `sitm-check` oracle and the
+    /// `sitm-skew` write-skew tool): every finished attempt — committed
+    /// or aborted — is appended to a bounded in-memory [`History`] of
+    /// at most `capacity` records, and the labels of labelled `TVar`s
+    /// go into its label table. Returns `self` for builder-style use.
     pub fn with_history(mut self, capacity: usize) -> Self {
         self.history = Some(Arc::new(HistorySink::with_capacity(capacity)));
         self
@@ -286,12 +276,7 @@ impl Stm {
     /// assert_eq!(v.load(), 2);
     /// ```
     pub fn begin(&self) -> Tx {
-        Tx::begin_recorded(
-            self.level,
-            self.recorder.clone(),
-            self.history.clone(),
-            self.forensics.clone(),
-        )
+        Tx::begin_recorded(self.level, self.history.clone(), self.forensics.clone())
     }
 
     /// Attempts to commit a transaction obtained from [`Stm::begin`],
@@ -421,12 +406,7 @@ impl Stm {
         &self,
         body: &mut impl FnMut(&mut Tx) -> Result<T, StmError>,
     ) -> Result<T, Conflict> {
-        let mut tx = Tx::begin_recorded(
-            self.level,
-            self.recorder.clone(),
-            self.history.clone(),
-            self.forensics.clone(),
-        );
+        let mut tx = Tx::begin_recorded(self.level, self.history.clone(), self.forensics.clone());
         match body(&mut tx) {
             Ok(value) => match tx.commit() {
                 Ok(receipt) => {
@@ -593,8 +573,8 @@ mod tests {
         // public; emulate with two sequential atomically calls whose
         // snapshots overlap via a held transaction.
         use crate::txn::Tx;
-        let mut t1 = Tx::begin(IsolationLevel::Snapshot, None);
-        let mut t2 = Tx::begin(IsolationLevel::Snapshot, None);
+        let mut t1 = Tx::begin(IsolationLevel::Snapshot);
+        let mut t2 = Tx::begin(IsolationLevel::Snapshot);
         let (c1, s1) = (t1.read(&checking).unwrap(), t1.read(&saving).unwrap());
         let (c2, s2) = (t2.read(&checking).unwrap(), t2.read(&saving).unwrap());
         assert!(c1 + s1 > 100 && c2 + s2 > 100);
@@ -614,8 +594,8 @@ mod tests {
         let checking = TVar::new(60i64);
         let saving = TVar::new(60i64);
         use crate::txn::Tx;
-        let mut t1 = Tx::begin(IsolationLevel::Snapshot, None);
-        let mut t2 = Tx::begin(IsolationLevel::Snapshot, None);
+        let mut t1 = Tx::begin(IsolationLevel::Snapshot);
+        let mut t2 = Tx::begin(IsolationLevel::Snapshot);
         let (c1, s1) = (t1.read(&checking).unwrap(), t1.read(&saving).unwrap());
         let (c2, s2) = (t2.read(&checking).unwrap(), t2.read(&saving).unwrap());
         t1.promote(&saving); // protect the invariant's other half
@@ -672,7 +652,7 @@ mod tests {
     fn stats_count_conflicts() {
         let stm = Stm::snapshot();
         let v = TVar::new(0u32);
-        let mut t1 = crate::txn::Tx::begin(IsolationLevel::Snapshot, None);
+        let mut t1 = crate::txn::Tx::begin(IsolationLevel::Snapshot);
         t1.write(&v, 1);
         stm.atomically(|tx| {
             let cur = tx.read(&v)?;
@@ -852,6 +832,26 @@ mod tests {
             reader.ops[0].kind,
             OpKind::Read { observed, .. } if observed == Some(end)
         ));
+    }
+
+    #[test]
+    fn history_captures_labels_of_labelled_variables() {
+        let stm = Stm::snapshot().with_history(1024);
+        let named = TVar::new_labeled("checking", 0u64);
+        let anon = TVar::new(0u64);
+        stm.atomically(|tx| {
+            let cur = tx.read(&named)? + tx.read(&anon)?;
+            tx.write(&named, cur + 1);
+            tx.promote(&anon);
+            Ok(())
+        });
+        let h = stm.history().expect("recording enabled");
+        assert_eq!(h.label(named.id()), Some("checking"));
+        assert_eq!(
+            h.label(anon.id()),
+            None,
+            "unlabelled variables stay unnamed"
+        );
     }
 
     #[test]

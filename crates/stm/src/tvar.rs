@@ -119,7 +119,7 @@ impl<T> Chain<T> {
 #[derive(Debug)]
 pub(crate) struct VarInner<T> {
     id: u64,
-    label: Option<Arc<str>>,
+    pub(crate) label: Option<Arc<str>>,
     /// Retention cap: [`DYNAMIC`] for watermark-driven retention,
     /// otherwise the maximum total number of versions kept
     /// (discard-oldest).

@@ -43,7 +43,6 @@ use sitm_obs::{
 
 use crate::epoch;
 use crate::error::{Conflict, StmError};
-use crate::recorder::{Recorder, TxEvent};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Mutex;
 use crate::tvar::{lock_versions, TVar, VarOps};
@@ -72,13 +71,31 @@ impl HistorySink {
         self.seq.fetch_add(1, Ordering::SeqCst)
     }
 
-    fn push(&self, record: TxnRecord) {
-        lock_versions(&self.history).push(record);
-    }
-
     /// A copy of the log collected so far.
     pub(crate) fn snapshot(&self) -> History {
         lock_versions(&self.history).clone()
+    }
+}
+
+/// One attempt's open history record, plus the labels of the variables
+/// it touched (each captured once, merged into the history's label
+/// table when the record is pushed).
+#[derive(Debug)]
+struct OpenRecord {
+    sink: Arc<HistorySink>,
+    builder: TxnBuilder,
+    labels: BTreeMap<u64, Arc<str>>,
+}
+
+impl OpenRecord {
+    /// Finishes the record with `finish(builder, end_seq)` and pushes it.
+    fn close(self, finish: impl FnOnce(TxnBuilder, u64) -> TxnRecord) {
+        let record = finish(self.builder, self.sink.next_seq());
+        let mut history = lock_versions(&self.sink.history);
+        history.push(record);
+        for (line, label) in self.labels {
+            history.set_label(line, label);
+        }
     }
 }
 
@@ -157,12 +174,8 @@ pub struct Tx {
     /// Explicitly promoted reads (validated even in read-only
     /// transactions; never create versions).
     promoted: BTreeMap<u64, Arc<dyn VarOps>>,
-    recorder: Option<Arc<dyn Recorder>>,
-    /// Monotone id of this attempt (for tracing).
-    attempt_id: u64,
-    /// History sink plus the open record of this attempt, when the
-    /// runtime records histories for the isolation oracle.
-    history: Option<(Arc<HistorySink>, TxnBuilder)>,
+    /// This attempt's open record, when the runtime records histories.
+    history: Option<OpenRecord>,
     /// Shared abort-forensics recorder (a no-op unless the `trace`
     /// feature is enabled), when the runtime collects forensics.
     forensics: Option<Arc<SharedForensics>>,
@@ -224,13 +237,12 @@ fn mutate_unfloored_tick() -> bool {
 
 impl Tx {
     #[cfg(test)]
-    pub(crate) fn begin(level: IsolationLevel, recorder: Option<Arc<dyn Recorder>>) -> Self {
-        Self::begin_recorded(level, recorder, None, None)
+    pub(crate) fn begin(level: IsolationLevel) -> Self {
+        Self::begin_recorded(level, None, None)
     }
 
     pub(crate) fn begin_recorded(
         level: IsolationLevel,
-        recorder: Option<Arc<dyn Recorder>>,
         sink: Option<Arc<HistorySink>>,
         forensics: Option<Arc<SharedForensics>>,
     ) -> Self {
@@ -239,22 +251,16 @@ impl Tx {
         // read, which is what keeps the GC watermark at or below this
         // snapshot for as long as the guard lives.
         let (snapshot, guard) = epoch::enter();
-        let attempt_id = NEXT_ATTEMPT.fetch_add(1, Ordering::Relaxed);
-        if let Some(r) = &recorder {
-            r.record(TxEvent::Begin {
-                tx: attempt_id,
-                snapshot,
-            });
-        }
-        let history = sink.map(|h| {
-            let builder = TxnBuilder::new(
-                attempt_id,
+        let history = sink.map(|sink| OpenRecord {
+            builder: TxnBuilder::new(
+                NEXT_ATTEMPT.fetch_add(1, Ordering::Relaxed),
                 epoch::thread_index(),
                 0, // the 64-bit software clock never overflows
-                h.next_seq(),
+                sink.next_seq(),
                 Some(snapshot),
-            );
-            (h, builder)
+            ),
+            sink,
+            labels: BTreeMap::new(),
         });
         Tx {
             snapshot,
@@ -262,8 +268,6 @@ impl Tx {
             writes: BTreeMap::new(),
             read_log: BTreeMap::new(),
             promoted: BTreeMap::new(),
-            recorder,
-            attempt_id,
             history,
             forensics,
             _epoch: guard,
@@ -287,11 +291,16 @@ impl Tx {
         }
     }
 
-    /// Appends `kind` to this attempt's open history record, if any.
-    fn record_op(&mut self, kind: OpKind) {
-        if let Some((sink, builder)) = &mut self.history {
-            let seq = sink.next_seq();
-            builder.op(seq, kind);
+    /// Appends `kind` to this attempt's open history record, if any,
+    /// capturing the variable's label the first time it is touched.
+    fn record_op(&mut self, kind: OpKind, label: Option<&Arc<str>>) {
+        if let Some(open) = &mut self.history {
+            open.builder.op(open.sink.next_seq(), kind);
+            if let Some(label) = label {
+                open.labels
+                    .entry(kind.line())
+                    .or_insert_with(|| Arc::clone(label));
+            }
         }
     }
 
@@ -329,13 +338,6 @@ impl Tx {
     /// assert_eq!(product, 6);
     /// ```
     pub fn read<T: Clone + Send + Sync + 'static>(&mut self, var: &TVar<T>) -> Result<T, StmError> {
-        if let Some(r) = &self.recorder {
-            r.record(TxEvent::Read {
-                tx: self.attempt_id,
-                var: var.id(),
-                label: var.label(),
-            });
-        }
         // Serve self-reads straight from the write buffer: the value
         // never touched shared state, so it needs no read logging (the
         // write itself is validated at commit, which subsumes any
@@ -346,10 +348,13 @@ impl Tx {
                 .downcast_ref::<T>()
                 .expect("buffered value type matches its TVar")
                 .clone();
-            self.record_op(OpKind::Read {
-                line: var.id(),
-                observed: None,
-            });
+            self.record_op(
+                OpKind::Read {
+                    line: var.id(),
+                    observed: None,
+                },
+                var.inner.label.as_ref(),
+            );
             return Ok(value);
         }
         if self.level == IsolationLevel::Serializable {
@@ -370,10 +375,13 @@ impl Tx {
                 return Err(err.into());
             }
         };
-        self.record_op(OpKind::Read {
-            line: var.id(),
-            observed: Some(ts),
-        });
+        self.record_op(
+            OpKind::Read {
+                line: var.id(),
+                observed: Some(ts),
+            },
+            var.inner.label.as_ref(),
+        );
         Ok(value)
     }
 
@@ -381,14 +389,7 @@ impl Tx {
     /// transaction's subsequent reads and published atomically at
     /// commit.
     pub fn write<T: Clone + Send + Sync + 'static>(&mut self, var: &TVar<T>, value: T) {
-        if let Some(r) = &self.recorder {
-            r.record(TxEvent::Write {
-                tx: self.attempt_id,
-                var: var.id(),
-                label: var.label(),
-            });
-        }
-        self.record_op(OpKind::Write { line: var.id() });
+        self.record_op(OpKind::Write { line: var.id() }, var.inner.label.as_ref());
         self.writes.insert(
             var.id(),
             PendingWrite {
@@ -404,14 +405,7 @@ impl Tx {
     /// trigger an abort in the case of a write skew. However, a promoted
     /// read ... does not create new data versions").
     pub fn promote<T: Clone + Send + Sync + 'static>(&mut self, var: &TVar<T>) {
-        if let Some(r) = &self.recorder {
-            r.record(TxEvent::Promote {
-                tx: self.attempt_id,
-                var: var.id(),
-                label: var.label(),
-            });
-        }
-        self.record_op(OpKind::Promote { line: var.id() });
+        self.record_op(OpKind::Promote { line: var.id() }, var.inner.label.as_ref());
         self.promoted
             .entry(var.id())
             .or_insert_with(|| var.inner.clone() as Arc<dyn VarOps>);
@@ -424,19 +418,10 @@ impl Tx {
 
     /// Attempts to commit. Consumes the transaction.
     pub(crate) fn commit(mut self) -> Result<CommitReceipt, Conflict> {
-        let recorder = self.recorder.clone();
-        let attempt_id = self.attempt_id;
         let history = self.history.take();
         let result = self.commit_inner();
-        if let Some(r) = &recorder {
-            r.record(match result {
-                Ok(_) => TxEvent::Commit { tx: attempt_id },
-                Err(_) => TxEvent::Abort { tx: attempt_id },
-            });
-        }
-        if let Some((sink, builder)) = history {
-            let seq = sink.next_seq();
-            sink.push(match result {
+        if let Some(open) = history {
+            open.close(|builder, seq| match result {
                 Ok(receipt) => builder.commit(seq, receipt.end),
                 Err(conflict) => builder.abort(seq, conflict.label()),
             });
@@ -449,9 +434,8 @@ impl Tx {
     /// every resource the transaction held (the epoch-registry slot is
     /// released by the drop at the end of this call).
     pub(crate) fn record_explicit_abort(mut self) {
-        if let Some((sink, builder)) = self.history.take() {
-            let seq = sink.next_seq();
-            sink.push(builder.abort(seq, "explicit"));
+        if let Some(open) = self.history.take() {
+            open.close(|builder, seq| builder.abort(seq, "explicit"));
         }
     }
 
@@ -460,9 +444,8 @@ impl Tx {
     /// runs. Without this the attempt would silently vanish from the
     /// history and the oracle would refuse to certify it.
     pub(crate) fn record_failure(mut self, conflict: Conflict) {
-        if let Some((sink, builder)) = self.history.take() {
-            let seq = sink.next_seq();
-            sink.push(builder.abort(seq, conflict.label()));
+        if let Some(open) = self.history.take() {
+            open.close(|builder, seq| builder.abort(seq, conflict.label()));
         }
     }
 
@@ -596,7 +579,7 @@ mod tests {
     #[test]
     fn read_own_write() {
         let var = TVar::new(1u32);
-        let mut tx = Tx::begin(IsolationLevel::Snapshot, None);
+        let mut tx = Tx::begin(IsolationLevel::Snapshot);
         assert_eq!(tx.read(&var).unwrap(), 1);
         tx.write(&var, 2);
         assert_eq!(tx.read(&var).unwrap(), 2);
@@ -614,7 +597,7 @@ mod tests {
         // the already-issued snapshot, so the installs became visible
         // inside a live reader's view mid-transaction.
         let var = TVar::new(0u32);
-        let mut tx = Tx::begin(IsolationLevel::Snapshot, None);
+        let mut tx = Tx::begin(IsolationLevel::Snapshot);
         tx.write(&var, 1);
 
         let own_shard = epoch::thread_index() % epoch::SHARDS;
@@ -648,10 +631,10 @@ mod tests {
     #[test]
     fn snapshot_ignores_later_commits() {
         let var = TVar::new(10u32);
-        let mut reader = Tx::begin(IsolationLevel::Snapshot, None);
+        let mut reader = Tx::begin(IsolationLevel::Snapshot);
         assert_eq!(reader.read(&var).unwrap(), 10);
         // A writer commits in between.
-        let mut writer = Tx::begin(IsolationLevel::Snapshot, None);
+        let mut writer = Tx::begin(IsolationLevel::Snapshot);
         writer.write(&var, 20);
         writer.commit().unwrap();
         // The reader still sees its snapshot.
@@ -662,8 +645,8 @@ mod tests {
     #[test]
     fn write_write_conflict_aborts_second() {
         let var = TVar::new(0u32);
-        let mut a = Tx::begin(IsolationLevel::Snapshot, None);
-        let mut b = Tx::begin(IsolationLevel::Snapshot, None);
+        let mut a = Tx::begin(IsolationLevel::Snapshot);
+        let mut b = Tx::begin(IsolationLevel::Snapshot);
         a.write(&var, 1);
         b.write(&var, 2);
         a.commit().unwrap();
@@ -675,11 +658,11 @@ mod tests {
     fn serializable_validates_reads() {
         let var = TVar::new(0u32);
         let other = TVar::new(0u32);
-        let mut a = Tx::begin(IsolationLevel::Serializable, None);
+        let mut a = Tx::begin(IsolationLevel::Serializable);
         let _ = a.read(&var).unwrap();
         a.write(&other, 1);
         // Concurrent writer invalidates a's read.
-        let mut w = Tx::begin(IsolationLevel::Snapshot, None);
+        let mut w = Tx::begin(IsolationLevel::Snapshot);
         w.write(&var, 9);
         w.commit().unwrap();
         assert_eq!(a.commit(), Err(Conflict::ReadValidation));
@@ -689,10 +672,10 @@ mod tests {
     fn snapshot_level_ignores_read_invalidations() {
         let var = TVar::new(0u32);
         let other = TVar::new(0u32);
-        let mut a = Tx::begin(IsolationLevel::Snapshot, None);
+        let mut a = Tx::begin(IsolationLevel::Snapshot);
         let _ = a.read(&var).unwrap();
         a.write(&other, 1);
-        let mut w = Tx::begin(IsolationLevel::Snapshot, None);
+        let mut w = Tx::begin(IsolationLevel::Snapshot);
         w.write(&var, 9);
         w.commit().unwrap();
         assert!(a.commit().is_ok());
@@ -702,11 +685,11 @@ mod tests {
     fn promotion_turns_skew_into_conflict() {
         let var = TVar::new(0u32);
         let other = TVar::new(0u32);
-        let mut a = Tx::begin(IsolationLevel::Snapshot, None);
+        let mut a = Tx::begin(IsolationLevel::Snapshot);
         let _ = a.read(&var).unwrap();
         a.promote(&var);
         a.write(&other, 1);
-        let mut w = Tx::begin(IsolationLevel::Snapshot, None);
+        let mut w = Tx::begin(IsolationLevel::Snapshot);
         w.write(&var, 9);
         w.commit().unwrap();
         assert_eq!(a.commit(), Err(Conflict::ReadValidation));
@@ -717,7 +700,7 @@ mod tests {
     #[test]
     fn serializable_self_reads_skip_the_read_log() {
         let var = TVar::new(0u32);
-        let mut tx = Tx::begin(IsolationLevel::Serializable, None);
+        let mut tx = Tx::begin(IsolationLevel::Serializable);
         tx.write(&var, 5);
         // A read served from the write buffer must not inflate the
         // validation set.
@@ -728,7 +711,7 @@ mod tests {
         // A read that observed shared state *before* the write is
         // logged (and later subsumed by write validation).
         let other = TVar::new(0u32);
-        let mut tx = Tx::begin(IsolationLevel::Serializable, None);
+        let mut tx = Tx::begin(IsolationLevel::Serializable);
         let _ = tx.read(&other).unwrap();
         tx.write(&other, 1);
         assert_eq!(tx.read_log.len(), 1);
@@ -739,17 +722,17 @@ mod tests {
     fn commit_releases_every_lock_on_conflict() {
         let var = TVar::new(0u32);
         let other = TVar::new(0u32);
-        let mut loser = Tx::begin(IsolationLevel::Snapshot, None);
+        let mut loser = Tx::begin(IsolationLevel::Snapshot);
         loser.write(&var, 1);
         loser.write(&other, 1);
-        let mut winner = Tx::begin(IsolationLevel::Snapshot, None);
+        let mut winner = Tx::begin(IsolationLevel::Snapshot);
         winner.write(&var, 2);
         winner.commit().unwrap();
         assert_eq!(loser.commit(), Err(Conflict::WriteWrite));
         // Both variables must be unlocked again: a fresh disjoint
         // commit on each succeeds without blocking.
         for (v, val) in [(&var, 7u32), (&other, 8u32)] {
-            let mut tx = Tx::begin(IsolationLevel::Snapshot, None);
+            let mut tx = Tx::begin(IsolationLevel::Snapshot);
             tx.write(v, val);
             tx.commit().unwrap();
             assert_eq!(v.load(), val);
@@ -759,9 +742,9 @@ mod tests {
     #[test]
     fn read_only_commits_even_amid_conflicts() {
         let var = TVar::new(0u32);
-        let mut reader = Tx::begin(IsolationLevel::Serializable, None);
+        let mut reader = Tx::begin(IsolationLevel::Serializable);
         let _ = reader.read(&var).unwrap();
-        let mut w = Tx::begin(IsolationLevel::Snapshot, None);
+        let mut w = Tx::begin(IsolationLevel::Snapshot);
         w.write(&var, 1);
         w.commit().unwrap();
         // Read-only: commits without validation even under

@@ -2,37 +2,31 @@
 //!
 //! Reproduces the Listing 1 banking anomaly with the software STM:
 //!
-//! 1. run concurrent withdrawals under plain snapshot isolation with the
-//!    trace recorder attached — the combined balance can go negative;
-//! 2. feed the trace to the `sitm-skew` analyzer — it finds the
+//! 1. run concurrent withdrawals under plain snapshot isolation with
+//!    history recording on — the combined balance can go negative;
+//! 2. feed the history to the `sitm-skew` analyzer — it finds the
 //!    dangerous cycle over `checking`/`saving` and proposes read
 //!    promotions;
 //! 3. re-run with the proposed promotions applied — the invariant holds.
 //!
 //! Run with: `cargo run --release --example write_skew_demo`
 
-use std::sync::Arc;
 use std::thread;
 
 use sitm::skew;
-use sitm::stm::{Stm, TVar, VecRecorder};
+use sitm::stm::{Stm, TVar};
 
 const ROUNDS: usize = 1000;
 
 /// Runs the two-sided withdrawal workload; `promote` applies the skew
 /// fix. Returns the minimum combined balance ever committed.
-fn run_bank(promote: bool, recorder: Option<Arc<VecRecorder>>) -> i64 {
-    let stm = Arc::new(match &recorder {
-        Some(r) => Stm::snapshot().with_recorder(r.clone()),
-        None => Stm::snapshot(),
-    });
+fn run_bank(stm: &Stm, promote: bool) -> i64 {
     let mut min_total = i64::MAX;
     for _ in 0..ROUNDS {
         let checking = TVar::new_labeled("checking", 60i64);
         let saving = TVar::new_labeled("saving", 60i64);
         thread::scope(|s| {
             for from_checking in [true, false] {
-                let stm = Arc::clone(&stm);
                 let checking = checking.clone();
                 let saving = saving.clone();
                 s.spawn(move || {
@@ -66,21 +60,21 @@ fn run_bank(promote: bool, recorder: Option<Arc<VecRecorder>>) -> i64 {
 }
 
 fn main() {
-    // Step 1: plain SI, traced.
-    let recorder = Arc::new(VecRecorder::new());
-    let min_total = run_bank(false, Some(recorder.clone()));
+    // Step 1: plain SI, recorded.
+    let stm = Stm::snapshot().with_history(1 << 16);
+    let min_total = run_bank(&stm, false);
     println!("plain snapshot isolation: minimum combined balance = {min_total}");
     if min_total < 0 {
         println!("  -> the Listing 1 write skew fired: both withdrawals committed\n");
     } else {
         println!("  -> this run's interleavings did not trigger the skew; the");
-        println!("     analyzer still finds the dangerous structure in the trace\n");
+        println!("     analyzer still finds the dangerous structure in the history\n");
     }
 
-    // Step 2: analyze the trace.
-    let events = recorder.take();
-    println!("analyzing {} trace events...", events.len());
-    let report = skew::analyze(&events);
+    // Step 2: analyze the history.
+    let history = stm.history().expect("recording enabled");
+    println!("analyzing {} transaction attempts...", history.len());
+    let report = skew::analyze(&history);
     println!("{report}");
 
     // Step 3: apply the proposed promotions and re-run.
@@ -89,7 +83,7 @@ fn main() {
         report.is_clean() || (wants_promotion("checking") && wants_promotion("saving")),
         "the analyzer must pinpoint the invariant's variables"
     );
-    let fixed_min = run_bank(true, None);
+    let fixed_min = run_bank(&Stm::snapshot(), true);
     println!("with read promotion applied: minimum combined balance = {fixed_min}");
     assert!(fixed_min >= 0, "promotion removes the anomaly");
     println!("  -> invariant preserved; the skew is gone");

@@ -7,8 +7,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 
+use sitm_check::{check, Discipline};
 use sitm_skew::analyze;
-use sitm_stm::{Stm, TVar, VecRecorder};
+use sitm_stm::{Stm, TVar};
 
 /// A transactional FIFO-ish queue built from TVars: producers append to
 /// a grow-only log, consumers claim indices. All effects must be exactly
@@ -84,19 +85,18 @@ fn serializable_preserves_invariant_under_contention() {
     }
 }
 
-/// The recorder + analyzer pipeline on a trace produced by real
-/// threads: a skew-prone workload is flagged; a promotion-fixed one is
-/// clean of *unprotected* cycles.
+/// The history + analyzer pipeline on histories produced by real
+/// threads: a skew-prone workload is flagged, and the isolation oracle
+/// agrees on the same history — it is legal SI, and the flagged pair
+/// is the MVSG's serializability cycle (under SI an overlapping
+/// reader's snapshot predates the writer's commit, so every skew rw
+/// edge is also an MVSG rw edge).
 #[test]
 fn skew_pipeline_on_real_traces() {
-    // Produce an overlapping trace deterministically using two
-    // hand-interleaved transactions through the internal begin API is
-    // not public; instead run the two withdrawals with a barrier that
-    // maximizes overlap and retry until the trace contains an actual
-    // overlap.
+    // Run the two withdrawals with a barrier that maximizes overlap and
+    // retry until the history contains an actual overlap.
     for _ in 0..500 {
-        let recorder = Arc::new(VecRecorder::new());
-        let stm = Arc::new(Stm::snapshot().with_recorder(recorder.clone()));
+        let stm = Arc::new(Stm::snapshot().with_history(1024));
         let checking = TVar::new_labeled("checking", 60i64);
         let saving = TVar::new_labeled("saving", 60i64);
         let barrier = Arc::new(std::sync::Barrier::new(2));
@@ -124,13 +124,27 @@ fn skew_pipeline_on_real_traces() {
                 });
             }
         });
-        let report = analyze(&recorder.take());
+        let history = stm.history().expect("recording enabled");
+        let report = analyze(&history);
+        let si = check(Discipline::SnapshotIsolation, &history);
+        assert!(si.is_ok(), "{si}");
         if !report.is_clean() {
             // Found an overlapping schedule: the analyzer must name both
             // variables and propose promotions.
             let names = report.involved_names();
             assert!(names.contains("checking") && names.contains("saving"));
             assert!(!report.promotions.is_empty());
+            let ssi = check(Discipline::SerializableSnapshot, &history);
+            let cycle = ssi
+                .violations
+                .iter()
+                .find(|v| v.rule == "mvsg-cycle")
+                .unwrap_or_else(|| panic!("no MVSG cycle for a found skew: {ssi}"));
+            let mut pair = cycle.txns.clone();
+            pair.sort_unstable();
+            let mut skewed = report.findings[0].transactions.clone();
+            skewed.sort_unstable();
+            assert_eq!(pair, skewed);
             return;
         }
     }
