@@ -29,7 +29,7 @@
 //!   nonblocking connections (pipelined frames, in-order reply
 //!   window, write backpressure), sharded deadline-bounded
 //!   group-commit workers for one-shot `TXN` batches, and a periodic
-//!   [`sitm_stm::TVar::compact`] GC tick.
+//!   [`sitm_stm::sweep_retained`] GC tick.
 //! - [`client`] — a blocking connection wrapper, plus split
 //!   send/receive halves for pipelined use.
 //! - [`loadgen`] — seeded load generation (the bank workload:

@@ -30,9 +30,12 @@
 //!   single commit point, so the recorded history stays
 //!   snapshot-isolated and oracle-certifiable while the commit-clock
 //!   and lock traffic is paid once per group.
-//! - **GC tick** — a timer thread sweeps [`TVar::compact`] over every
-//!   key (via [`Store::compact_all`]) to release versions that a
-//!   finished long reader pinned on cold keys (DESIGN.md §14/§16).
+//! - **GC tick** — a timer thread runs [`sweep_retained`] every
+//!   `gc_interval`, releasing versions that a finished long reader
+//!   pinned on cold keys (DESIGN.md §14/§16). The sweep visits only
+//!   the variables whose commits left spill behind, so a tick costs
+//!   O(keys written since the last tick plus keys still pinned), not
+//!   O(keys in the store).
 //!
 //! # Ordering contract under pipelining
 //!
@@ -54,7 +57,7 @@
 //! resumes when completions drain the window. A slow reader therefore
 //! costs O(`write_buf_cap` + one frame), never unbounded memory.
 //!
-//! [`TVar::compact`]: sitm_stm::TVar::compact
+//! [`sweep_retained`]: sitm_stm::sweep_retained
 //! [`FrameBuffer`]: crate::wire::FrameBuffer
 
 use std::collections::{HashMap, HashSet};
@@ -66,7 +69,10 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use sitm_obs::{AtomicHistogram, ForensicsSnapshot, History, MetricsRegistry};
-use sitm_stm::{live_snapshots, Conflict, IsolationLevel, Stm, StmError, StmStats, TVar, Tx};
+use sitm_stm::{
+    live_snapshots, sweep_retained, Conflict, IsolationLevel, Stm, StmError, StmStats, SweepReport,
+    TVar, Tx,
+};
 
 use crate::conn::{Conn, OpKind};
 use crate::reactor::{Event, Interest, Poller, Waker};
@@ -96,7 +102,7 @@ pub struct ServerConfig {
     pub write_buf_cap: usize,
     /// Per-connection cap on decoded-but-unanswered pipelined frames.
     pub max_inflight: usize,
-    /// Period of the background `compact` sweep.
+    /// Period of the background retained-spill sweep.
     pub gc_interval: Duration,
     /// Transaction-history record capacity; 0 disables recording.
     /// Size it above the total attempt count when the history will be
@@ -143,6 +149,8 @@ struct ServeMetrics {
     backpressure_pauses: AtomicU64,
     gc_ticks: AtomicU64,
     gc_reclaimed: AtomicU64,
+    gc_visited: AtomicU64,
+    gc_sweep_ns: AtomicHistogram,
     batch_size: AtomicHistogram,
     events_per_wake: AtomicHistogram,
     frames_per_wake: AtomicHistogram,
@@ -176,6 +184,18 @@ impl ServeMetrics {
         if let Some(hist) = self.latency_hist(kind) {
             hist.record(elapsed.as_nanos() as u64);
         }
+    }
+
+    /// One GC tick: a timed [`sweep_retained`] pass, counted.
+    fn gc_tick(&self) -> SweepReport {
+        let t0 = Instant::now();
+        let report = sweep_retained();
+        self.gc_sweep_ns.record(t0.elapsed().as_nanos() as u64);
+        self.gc_reclaimed
+            .fetch_add(report.reclaimed, Ordering::Relaxed);
+        self.gc_visited.fetch_add(report.visited, Ordering::Relaxed);
+        self.gc_ticks.fetch_add(1, Ordering::Relaxed);
+        report
     }
 
     fn export(&self, reg: &mut MetricsRegistry) {
@@ -219,6 +239,8 @@ impl ServeMetrics {
             "serve.gc.reclaimed",
             self.gc_reclaimed.load(Ordering::Relaxed),
         );
+        reg.count("serve.gc.visited", self.gc_visited.load(Ordering::Relaxed));
+        reg.merge_histogram("serve.gc.sweep_ns", &self.gc_sweep_ns.snapshot());
         reg.merge_histogram("serve.group_commit.batch_size", &self.batch_size.snapshot());
         reg.merge_histogram(
             "serve.reactor.events_per_wake",
@@ -492,17 +514,13 @@ impl Server {
         self.shared.store.versions_retained()
     }
 
-    /// Runs one synchronous GC sweep (tests use this instead of
-    /// waiting out [`ServerConfig::gc_interval`]); returns the number
-    /// of versions reclaimed.
-    pub fn compact_now(&self) -> u64 {
-        let reclaimed = self.shared.store.compact_all();
-        self.shared
-            .metrics
-            .gc_reclaimed
-            .fetch_add(reclaimed, Ordering::Relaxed);
-        self.shared.metrics.gc_ticks.fetch_add(1, Ordering::Relaxed);
-        reclaimed
+    /// Runs one synchronous GC tick (tests use this instead of
+    /// waiting out [`ServerConfig::gc_interval`]) and reports what the
+    /// sweep visited and reclaimed. The retained-spill registry is
+    /// process-wide, so the sweep also trims variables of other
+    /// servers and STM users in this process.
+    pub fn compact_now(&self) -> SweepReport {
+        self.shared.metrics.gc_tick()
     }
 
     /// Stops every thread and closes every connection. Equivalent to
@@ -1278,11 +1296,6 @@ fn gc_loop(shared: &Arc<Shared>) {
         if shared.stop.load(Ordering::Acquire) {
             return;
         }
-        let reclaimed = shared.store.compact_all();
-        shared
-            .metrics
-            .gc_reclaimed
-            .fetch_add(reclaimed, Ordering::Relaxed);
-        shared.metrics.gc_ticks.fetch_add(1, Ordering::Relaxed);
+        shared.metrics.gc_tick();
     }
 }

@@ -92,29 +92,6 @@ impl Store {
         self.len() == 0
     }
 
-    /// One GC pass: [`TVar::compact`]s every key and returns how many
-    /// cold versions were reclaimed. Install-time epoch GC only runs
-    /// on variables that keep being written; this is the sweep that
-    /// releases the spill a finished long reader pinned on keys
-    /// nobody writes anymore (DESIGN.md §14/§16).
-    pub fn compact_all(&self) -> u64 {
-        let mut reclaimed = 0;
-        for shard in &self.shards {
-            // Clone the handles out so compaction never holds a
-            // directory lock across the per-variable version locks.
-            let vars: Vec<TVar<Option<i64>>> = shard
-                .read()
-                .expect("store shard poisoned")
-                .values()
-                .cloned()
-                .collect();
-            for var in vars {
-                reclaimed += var.compact();
-            }
-        }
-        reclaimed
-    }
-
     /// Total versions currently retained across all keys (diagnostics
     /// for the leak tests: after quiescence + compaction this returns
     /// to exactly one version per key).
@@ -162,7 +139,7 @@ mod tests {
     }
 
     #[test]
-    fn compact_all_reclaims_cold_spill() {
+    fn the_retained_sweep_reclaims_cold_spill() {
         let store = Store::new();
         let stm = Stm::snapshot();
         let var = store.get_or_create(3);
@@ -177,8 +154,9 @@ mod tests {
         assert!(store.versions_retained() > 1);
         let _ = reader.read(&var);
         drop(reader);
-        // Reader gone: the sweep reclaims everything but the newest.
-        assert!(store.compact_all() > 0);
+        // Reader gone: the sweep reclaims everything but the newest,
+        // though the key is never written again.
+        assert!(sitm_stm::sweep_retained().reclaimed > 0);
         assert_eq!(store.versions_retained(), store.len());
     }
 }

@@ -237,7 +237,7 @@ pub struct WireStats {
     pub aborts: u64,
     /// Versions reclaimed by epoch GC during commits.
     pub versions_retired: u64,
-    /// Versions reclaimed by the server's periodic `compact` GC ticks.
+    /// Versions reclaimed by the server's periodic GC ticks.
     pub gc_reclaimed: u64,
     /// GC ticks the compaction thread has run.
     pub gc_ticks: u64,

@@ -27,6 +27,14 @@
 //!   Version GC in `tvar.rs` trims exactly the versions no snapshot at
 //!   or above the watermark can ever read.
 //!
+//! * **The retained-spill registry.** Install-time GC only reaches
+//!   variables that keep being written. A commit whose install leaves
+//!   a dynamic chain holding spill puts that variable, once, on a
+//!   [`SHARDS`]-way registry (shard chosen by thread index, like the
+//!   clock), and [`sweep_retained`] trims exactly the registered
+//!   variables against one fresh watermark — so a sweep costs
+//!   O(variables holding spill), not O(variables).
+//!
 //! # The watermark invariant
 //!
 //! `watermark() <= begin_ts` for every live and every future
@@ -51,10 +59,12 @@
 //! into the GC safety argument.
 
 use std::cell::Cell;
+use std::sync::{Arc, Weak};
 
 use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 use crate::sync::Mutex;
 use crate::tvar::lock_versions as lock;
+use crate::tvar::VarOps;
 
 /// Number of commit-clock shards. Timestamps issued by shard `s` are
 /// congruent to `s` modulo `SHARDS`, so ticks on different shards can
@@ -133,6 +143,18 @@ static WATERMARK: AtomicU64 = AtomicU64::new(0);
 /// Clock value at the start of the last watermark scan, for the
 /// [`REFRESH_TICKS`] staleness check.
 static WATERMARK_STAMP: AtomicU64 = AtomicU64::new(0);
+
+/// One shard of the retained-spill registry, alone on its cache line.
+/// Entries are weak: the registry never keeps a dropped variable
+/// alive, even in a process that never sweeps.
+#[repr(align(128))]
+struct SpillShard(Mutex<Vec<Weak<dyn VarOps>>>);
+
+/// The retained-spill registry: every dynamic variable whose chain
+/// holds spill, each exactly once (the chain's `registered` flag,
+/// kept under the chain mutex, dedups). A committing thread pushes
+/// onto its own shard, so registration takes no process-wide lock.
+static SPILL: [SpillShard; SHARDS] = [const { SpillShard(Mutex::new(Vec::new())) }; SHARDS];
 
 /// Dense per-thread indices: each OS thread draws one on first
 /// transactional use. Doubles as the commit-clock shard selector and
@@ -326,6 +348,103 @@ pub(crate) fn gc_watermark(now: u64) -> u64 {
     }
 }
 
+/// Puts `var` on the retained-spill registry. The commit path calls
+/// this once per variable whose install reported it newly holding
+/// spill (see `VarOps::install`).
+pub(crate) fn register_spill(var: &Arc<dyn VarOps>) {
+    let mut shard = lock(&SPILL[thread_index() % SHARDS].0);
+    if shard.len() == shard.capacity() {
+        // Before the buffer grows, drop entries of variables that no
+        // longer exist, and leave room for as many pushes as there
+        // are survivors: pruning stays amortised O(1) per push, and a
+        // process that never sweeps holds entries only for live
+        // variables.
+        shard.retain(|w| w.strong_count() > 0);
+        let live = shard.len();
+        shard.reserve(live);
+    }
+    shard.push(Arc::downgrade(var));
+}
+
+/// What one [`sweep_retained`] pass did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SweepReport {
+    /// Registered variables the pass trimmed.
+    pub visited: u64,
+    /// Versions reclaimed across them.
+    pub reclaimed: u64,
+    /// Visited variables that still hold spill (a live snapshot can
+    /// reach it) and stay registered for the next pass.
+    pub retained: u64,
+}
+
+/// Reclaims retained spill across the process: drains the
+/// retained-spill registry, trims every registered variable against
+/// one freshly scanned watermark, and re-registers only those a live
+/// snapshot still pins. Its cost follows the variables that hold
+/// spill, not the number of variables in existence.
+///
+/// Install-time GC reclaims versions only on variables that keep
+/// being written; this is the sweep that releases what a finished
+/// long reader pinned on variables nobody writes anymore. Like
+/// [`TVar::compact`](crate::TVar::compact) it is always safe and never
+/// blocks commits. Capped variables ([`TVar::with_history`]) are never
+/// registered: their retention is bounded at install time.
+///
+/// # Examples
+///
+/// ```
+/// use sitm_stm::{sweep_retained, Stm, TVar};
+/// let stm = Stm::snapshot();
+/// let cell = TVar::new(0u32);
+/// stm.atomically(|tx| {
+///     tx.write(&cell, 1);
+///     Ok(())
+/// });
+/// // Nothing is written again, yet the sweep trims the cold spill.
+/// sweep_retained();
+/// assert_eq!(cell.version_count(), 1);
+/// ```
+///
+/// [`TVar::with_history`]: crate::TVar::with_history
+pub fn sweep_retained() -> SweepReport {
+    let watermark = refresh_watermark();
+    let mut report = SweepReport::default();
+    for shard in &SPILL {
+        let drained = std::mem::take(&mut *lock(&shard.0));
+        let mut pinned = Vec::new();
+        for entry in drained {
+            let Some(var) = entry.upgrade() else { continue };
+            report.visited += 1;
+            let (reclaimed, still_spilled) = var.sweep(watermark);
+            report.reclaimed += reclaimed;
+            if still_spilled {
+                pinned.push(entry);
+            }
+        }
+        if !pinned.is_empty() {
+            report.retained += pinned.len() as u64;
+            lock(&shard.0).append(&mut pinned);
+        }
+    }
+    report
+}
+
+/// How many registry entries name the variable with id `id` (the
+/// registry models' exactly-once check).
+#[cfg(all(loom, test))]
+pub(crate) fn registrations(id: u64) -> usize {
+    SPILL
+        .iter()
+        .map(|shard| {
+            lock(&shard.0)
+                .iter()
+                .filter(|entry| entry.upgrade().is_some_and(|var| var.id() == id))
+                .count()
+        })
+        .sum()
+}
+
 /// Number of transactions currently registered in the epoch registry
 /// (diagnostics; racy by nature).
 pub fn live_snapshots() -> usize {
@@ -385,6 +504,9 @@ pub(crate) fn model_reset() {
     SLOTS_CLAIMED.store(0, SeqCst);
     lock(&FREE_SLOTS).clear();
     lock(&OVERFLOW).clear();
+    for shard in &SPILL {
+        lock(&shard.0).clear();
+    }
     WATERMARK.store(0, SeqCst);
     WATERMARK_STAMP.store(0, SeqCst);
     NEXT_THREAD_INDEX.store(0, SeqCst);
@@ -464,6 +586,18 @@ mod tests {
         let t = commit_tick(begin);
         assert!(refresh_watermark() <= clock_now());
         assert!(t > begin);
+    }
+
+    #[test]
+    fn the_registry_prunes_dropped_variables_without_a_sweep() {
+        // A process that never sweeps must not accumulate entries for
+        // variables it has dropped.
+        for _ in 0..10_000 {
+            let var: Arc<dyn VarOps> = crate::TVar::new(0u8).inner;
+            register_spill(&var);
+        }
+        let len = lock(&SPILL[thread_index() % SHARDS].0).len();
+        assert!(len < 1_000, "{len} entries for 10,000 dropped variables");
     }
 
     #[test]

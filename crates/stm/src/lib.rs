@@ -73,7 +73,7 @@ pub mod model_support;
 mod models;
 
 pub use collections::{TCounter, THashMap, TList};
-pub use epoch::{live_snapshots, refresh_watermark, watermark};
+pub use epoch::{live_snapshots, refresh_watermark, sweep_retained, watermark, SweepReport};
 pub use error::{Conflict, StmError};
 pub use stm::{Stm, StmStats};
 pub use tvar::{TVar, DEFAULT_HISTORY};

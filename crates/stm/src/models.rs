@@ -10,8 +10,10 @@
 //! * **protocol models** — assert an invariant holds on *every*
 //!   interleaving: commit atomicity (no lost updates), snapshot
 //!   integrity (no torn reads across clock shards), global uniqueness
-//!   of sharded clock ticks, and the watermark never passing a live
-//!   snapshot (slot and overflow registry paths alike);
+//!   of sharded clock ticks, the watermark never passing a live
+//!   snapshot (slot and overflow registry paths alike), and an install
+//!   racing a retained-spill sweep (spill always registered, exactly
+//!   once; nothing a live snapshot reaches reclaimed);
 //! * **mutation checks** — flip a `model_support` knob that
 //!   deliberately re-introduces a previously fixed bug (the PR 4
 //!   committed-pivot FCW escape, the PR 7 unfloored commit tick) and
@@ -172,6 +174,49 @@ fn loom_watermark_never_passes_a_live_snapshot() {
         // Every registration is released: the scan may move up to (but
         // never past) the clock bound.
         assert!(epoch::refresh_watermark() <= epoch::clock_now());
+    });
+}
+
+#[test]
+fn loom_install_racing_a_spill_sweep_keeps_spill_registered_once() {
+    // A parked reader pins version 0 and an earlier commit registered
+    // the variable; then one writer's install races one sweep, which
+    // may drain the entry while the install finds the flag already
+    // set. At quiescence: spill => registered, exactly one registry
+    // entry, and the reader's version survived.
+    model(|| {
+        pristine(Mutation::None);
+        let var = TVar::new(0u64);
+        let mut reader = Tx::begin(IsolationLevel::Snapshot);
+        assert_eq!(reader.read(&var), Ok(0));
+        let mut first = Tx::begin(IsolationLevel::Snapshot);
+        first.write(&var, 1);
+        first.commit().expect("uncontended commit");
+        let writer = {
+            let var = var.clone();
+            thread::spawn(move || {
+                let mut tx = Tx::begin(IsolationLevel::Snapshot);
+                tx.write(&var, 2);
+                tx.commit().expect("the only concurrent writer commits");
+            })
+        };
+        let sweeper = thread::spawn(epoch::sweep_retained);
+        writer.join();
+        sweeper.join();
+
+        assert_eq!(reader.read(&var), Ok(0), "a pinned version was reclaimed");
+        assert_eq!(var.load(), 2);
+        let (spill, registered) = var.spill_state();
+        assert!(spill > 0, "the reader pins spill");
+        assert!(registered, "spill {spill} without registration");
+        assert_eq!(epoch::registrations(var.id()), 1, "registered once");
+
+        // Reader gone: the next sweep reclaims the spill and unregisters.
+        drop(reader);
+        let swept = epoch::sweep_retained();
+        assert_eq!((swept.visited, swept.retained), (1, 0));
+        assert_eq!(var.spill_state(), (0, false));
+        assert_eq!(epoch::registrations(var.id()), 0);
     });
 }
 

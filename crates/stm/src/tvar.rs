@@ -92,6 +92,12 @@ struct Chain<T> {
     /// false the chain reaches back to the initial timestamp-0 version
     /// and every snapshot is servable.
     truncated: bool,
+    /// Whether this variable sits on the epoch layer's retained-spill
+    /// registry (`epoch::register_spill`). Set by the install that
+    /// first leaves spill behind, cleared only by the sweep that finds
+    /// the spill gone; both under the chain mutex, so a variable is
+    /// registered at most once and never holds spill unregistered.
+    registered: bool,
 }
 
 impl<T> Chain<T> {
@@ -104,10 +110,10 @@ impl<T> Chain<T> {
     /// everything older is unreachable forever.
     fn trim(&mut self, watermark: u64) -> u64 {
         if self.newest_ts <= watermark {
-            // The inline newest serves every surviving snapshot.
-            let dead = self.older.len();
-            self.older.clear();
-            dead as u64
+            // The inline newest serves every surviving snapshot. Free
+            // the buffer too: a key written once must not keep an
+            // empty spill allocation for the rest of its life.
+            std::mem::take(&mut self.older).len() as u64
         } else {
             let reachable_from = self.older.partition_point(|&(vts, _)| vts <= watermark);
             let dead = reachable_from.saturating_sub(1);
@@ -140,6 +146,17 @@ pub(crate) struct VarInner<T> {
 }
 
 impl<T> VarInner<T> {
+    /// Epoch GC of `chain` (this variable's, locked by the caller)
+    /// against `watermark`, with the reclamation accounting.
+    fn reclaim(&self, chain: &mut Chain<T>, watermark: u64) -> u64 {
+        let dropped = chain.trim(watermark);
+        if dropped > 0 {
+            chain.truncated = true;
+            self.retired.fetch_add(dropped, Ordering::Relaxed);
+        }
+        dropped
+    }
+
     /// Spins (then yields) until no commit holds this variable's lock.
     ///
     /// Readers call this before scanning the version chain: a snapshot
@@ -271,6 +288,7 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
                     newest: value,
                     older: VecDeque::new(),
                     truncated: false,
+                    registered: false,
                 }),
                 retired: AtomicU64::new(0),
             }),
@@ -333,6 +351,14 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
         1 + lock_versions(&self.inner.chain).older.len()
     }
 
+    /// The spill length and the retained-spill registration flag, read
+    /// together under the chain mutex (the registry models' invariant).
+    #[cfg(all(loom, test))]
+    pub(crate) fn spill_state(&self) -> (usize, bool) {
+        let chain = lock_versions(&self.inner.chain);
+        (chain.older.len(), chain.registered)
+    }
+
     /// Lifetime count of versions reclaimed from this variable, by
     /// epoch GC (dynamic retention) or discard-oldest eviction (capped
     /// retention). Diagnostics; see also `StmStats::versions_retired`
@@ -347,11 +373,12 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
     ///
     /// Epoch GC normally piggybacks on installs, so a variable that
     /// stops being written keeps whatever spill a since-finished long
-    /// reader forced it to retain — indefinitely, if no writer ever
-    /// touches it again (DESIGN.md §14). `compact` is the explicit
-    /// trim hook for such cold variables; it is always safe (it drops
-    /// only versions the watermark proves unreachable, so a concurrent
-    /// reader can never lose its version) and never blocks commits.
+    /// reader forced it to retain until the next
+    /// [`sweep_retained`](crate::sweep_retained) pass (DESIGN.md §14).
+    /// `compact` is the per-variable trim hook for such cold
+    /// variables; it is always safe (it drops only versions the
+    /// watermark proves unreachable, so a concurrent reader can never
+    /// lose its version) and never blocks commits.
     ///
     /// Reclamations made here count toward [`TVar::retired_total`] but
     /// not toward any runtime's `StmStats` aggregate — no transaction
@@ -381,13 +408,8 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
             return 0;
         }
         let watermark = crate::epoch::refresh_watermark();
-        let mut chain = lock_versions(&self.inner.chain);
-        let dropped = chain.trim(watermark);
-        if dropped > 0 {
-            chain.truncated = true;
-            self.inner.retired.fetch_add(dropped, Ordering::Relaxed);
-        }
-        dropped
+        self.inner
+            .reclaim(&mut lock_versions(&self.inner.chain), watermark)
     }
 }
 
@@ -413,8 +435,11 @@ pub(crate) trait VarOps: Send + Sync {
     fn unlock_commit(&self);
     /// Installs `value` (of the variable's concrete type) at `ts`,
     /// then garbage-collects the chain against `watermark` — the
-    /// live-snapshot lower bound from `epoch::gc_watermark` — and
-    /// returns the number of versions reclaimed. The caller must hold
+    /// live-snapshot lower bound from `epoch::gc_watermark`. Returns
+    /// the number of versions reclaimed and whether the caller must
+    /// now put this variable on the retained-spill registry
+    /// (`epoch::register_spill`): true exactly when a dynamic chain
+    /// keeps spill and was not registered yet. The caller must hold
     /// the commit lock; the new write stamp is published into the lock
     /// word (still locked) so it becomes the validation timestamp the
     /// instant the lock is released.
@@ -424,7 +449,13 @@ pub(crate) trait VarOps: Send + Sync {
     /// Panics if `value` has the wrong type (unreachable through the
     /// typed API), `ts` is not newer than the newest version, or the
     /// commit lock is not held.
-    fn install(&self, ts: u64, value: Box<dyn Any + Send>, watermark: u64) -> u64;
+    fn install(&self, ts: u64, value: Box<dyn Any + Send>, watermark: u64) -> (u64, bool);
+    /// One retained-spill sweep step: trims the chain against
+    /// `watermark` and returns the number of versions reclaimed and
+    /// whether the variable still holds spill (and so stays
+    /// registered). Clears the registration otherwise. Called only by
+    /// `epoch::sweep_retained` on registered variables.
+    fn sweep(&self, watermark: u64) -> (u64, bool);
 }
 
 impl<T: Clone + Send + Sync + 'static> VarOps for VarInner<T> {
@@ -461,7 +492,7 @@ impl<T: Clone + Send + Sync + 'static> VarOps for VarInner<T> {
         self.stamp.fetch_and(!LOCK_BIT, Ordering::Release);
     }
 
-    fn install(&self, ts: u64, value: Box<dyn Any + Send>, watermark: u64) -> u64 {
+    fn install(&self, ts: u64, value: Box<dyn Any + Send>, watermark: u64) -> (u64, bool) {
         assert!(
             self.stamp.load(Ordering::Relaxed) & LOCK_BIT != 0,
             "install requires the commit lock"
@@ -495,10 +526,21 @@ impl<T: Clone + Send + Sync + 'static> VarOps for VarInner<T> {
             chain.truncated = true;
             self.retired.fetch_add(dropped, Ordering::Relaxed);
         }
+        // Dynamic spill that outlives this install waits for the sweep:
+        // a cold variable may never be written again.
+        let register = self.cap == DYNAMIC && !chain.older.is_empty() && !chain.registered;
+        chain.registered |= register;
         // Publish the new write stamp while still holding the lock:
         // validators that acquire this lock next see `ts` immediately.
         self.stamp.store((ts << 1) | LOCK_BIT, Ordering::Release);
-        dropped
+        (dropped, register)
+    }
+
+    fn sweep(&self, watermark: u64) -> (u64, bool) {
+        let mut chain = lock_versions(&self.chain);
+        let dropped = self.reclaim(&mut chain, watermark);
+        chain.registered = !chain.older.is_empty();
+        (dropped, chain.registered)
     }
 }
 
@@ -515,7 +557,7 @@ mod tests {
         wm: u64,
     ) -> u64 {
         v.inner.lock_commit();
-        let dropped = v.inner.install(ts, Box::new(value), wm);
+        let (dropped, _register) = v.inner.install(ts, Box::new(value), wm);
         v.inner.unlock_commit();
         dropped
     }
@@ -595,6 +637,53 @@ mod tests {
         assert_eq!(dropped, 3, "0, 5 and 10 all reclaimed");
         assert_eq!(v.version_count(), 1);
         assert_eq!(v.load(), 3);
+    }
+
+    #[test]
+    fn a_trim_to_one_version_frees_the_spill_buffer() {
+        let v = TVar::new(0u32);
+        for ts in 1..=5 {
+            install(&v, ts, ts as u32);
+        }
+        assert!(lock_versions(&v.inner.chain).older.capacity() > 0);
+        assert_eq!(v.inner.sweep(5), (5, false), "all spill reclaimed");
+        let chain = lock_versions(&v.inner.chain);
+        assert!(chain.older.is_empty());
+        assert_eq!(chain.older.capacity(), 0, "no heap buffer left");
+    }
+
+    #[test]
+    fn only_the_first_install_that_leaves_spill_asks_to_register() {
+        let v = TVar::new(0u32);
+        let mut installs = (1..=4).map(|ts| {
+            v.inner.lock_commit();
+            let (_, register) = v.inner.install(ts, Box::new(ts as u32), 0);
+            v.inner.unlock_commit();
+            register
+        });
+        assert_eq!(installs.next(), Some(true));
+        assert!(installs.all(|register| !register), "already registered");
+        // A sweep that leaves spill keeps the registration...
+        assert_eq!(v.inner.sweep(2), (2, true));
+        assert!(lock_versions(&v.inner.chain).registered);
+        // ...one that empties the chain drops it, and the next install
+        // that spills registers again.
+        assert_eq!(v.inner.sweep(4), (2, false));
+        assert!(!lock_versions(&v.inner.chain).registered);
+        v.inner.lock_commit();
+        assert_eq!(v.inner.install(5, Box::new(5u32), 0), (0, true));
+        v.inner.unlock_commit();
+    }
+
+    #[test]
+    fn capped_installs_never_ask_to_register() {
+        let v = TVar::with_history(0u32, 2);
+        for ts in 1..=4 {
+            v.inner.lock_commit();
+            let (_, register) = v.inner.install(ts, Box::new(ts as u32), 0);
+            v.inner.unlock_commit();
+            assert!(!register, "capped retention is bounded at install");
+        }
     }
 
     #[test]

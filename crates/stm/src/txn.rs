@@ -536,7 +536,11 @@ impl Tx {
         let watermark = epoch::gc_watermark(end);
         let mut retired = 0;
         for (_, w) in self.writes {
-            retired += w.var.install(end, w.value, watermark);
+            let (dropped, spilled) = w.var.install(end, w.value, watermark);
+            retired += dropped;
+            if spilled {
+                epoch::register_spill(&w.var);
+            }
         }
         Ok(CommitReceipt {
             end: Some(end),
